@@ -11,7 +11,11 @@
 //!
 //! [`diff`] compares a current run against a committed baseline and flags
 //! every bench whose `ops_per_sec` fell below `baseline * (1 - tolerance)`,
-//! plus benches that vanished outright. Wall-clock throughput is noisy, so
+//! plus benches that vanished outright. It also flags *sim drift*: a bench
+//! whose `ops` or `sim_elapsed_ns` differs from the baseline at all. Those
+//! fields are deterministic, so a host-only change that moves them has
+//! changed simulated behaviour; refreshing the baseline is the explicit,
+//! reviewed way to accept that. Wall-clock throughput is noisy, so
 //! the CI gate runs enginebench twice (warm-up, then measure) and uses a
 //! generous default tolerance; see `.github/workflows/ci.yml`.
 
@@ -33,6 +37,9 @@ pub struct BenchLine {
     pub name: String,
     /// The bench's `"ops_per_sec"` field (wall-clock throughput).
     pub ops_per_sec: f64,
+    /// The `"ops"` and `"sim_elapsed_ns"` fields of an enginebench line
+    /// (`None` for serve lines, which carry neither).
+    pub sim: Option<(f64, f64)>,
     /// The raw JSON line, for offender reports.
     pub raw: String,
 }
@@ -66,13 +73,17 @@ pub struct DiffReport {
     /// Benches in the current run but absent from the baseline (allowed;
     /// reported for visibility).
     pub added: Vec<String>,
+    /// Benches whose `ops` or `sim_elapsed_ns` differ from the baseline:
+    /// `(name, baseline line, current line)`.
+    pub drifted: Vec<(String, String, String)>,
 }
 
 impl DiffReport {
-    /// True when no bench regressed or disappeared.
+    /// True when no bench regressed, drifted in simulated terms, or
+    /// disappeared.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+        self.regressions.is_empty() && self.missing.is_empty() && self.drifted.is_empty()
     }
 
     /// Human-readable summary, one line per compared bench, offenders
@@ -82,9 +93,10 @@ impl DiffReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "benchdiff: {} compared, {} regressed, {} missing, {} added (tolerance {:.0}%)",
+            "benchdiff: {} compared, {} regressed, {} sim-drifted, {} missing, {} added (tolerance {:.0}%)",
             self.compared,
             self.regressions.len(),
+            self.drifted.len(),
             self.missing.len(),
             self.added.len(),
             tolerance * 100.0
@@ -100,6 +112,11 @@ impl DiffReport {
             );
             let _ = writeln!(out, "  baseline: {}", r.baseline_line.trim());
             let _ = writeln!(out, "  current:  {}", r.current_line.trim());
+        }
+        for (name, base, cur) in &self.drifted {
+            let _ = writeln!(out, "SIM DRIFT {name}: ops or sim_elapsed_ns changed");
+            let _ = writeln!(out, "  baseline: {}", base.trim());
+            let _ = writeln!(out, "  current:  {}", cur.trim());
         }
         for name in &self.missing {
             let _ = writeln!(out, "MISSING {name}: in baseline but not in current run");
@@ -138,9 +155,11 @@ pub fn parse_benches(json: &str) -> Vec<BenchLine> {
         .filter_map(|line| {
             let name = str_field(line, "name")?;
             let ops_per_sec = num_field(line, "ops_per_sec")?;
+            let sim = num_field(line, "ops").zip(num_field(line, "sim_elapsed_ns"));
             Some(BenchLine {
                 name,
                 ops_per_sec,
+                sim,
                 raw: line.to_string(),
             })
         })
@@ -172,6 +191,7 @@ pub fn parse_serve_benches(json: &str) -> Vec<BenchLine> {
             out.push(BenchLine {
                 name: format!("knee/shards{shards}/{policy}"),
                 ops_per_sec: knee,
+                sim: None,
                 raw: line.to_string(),
             });
             continue;
@@ -192,6 +212,7 @@ pub fn parse_serve_benches(json: &str) -> Vec<BenchLine> {
         out.push(BenchLine {
             name,
             ops_per_sec: tput,
+            sim: None,
             raw: line.to_string(),
         });
     }
@@ -243,6 +264,11 @@ fn diff_lines(
             None => report.missing.push(b.name.clone()),
             Some(c) => {
                 report.compared += 1;
+                if matches!((b.sim, c.sim), (Some(bs), Some(cs)) if bs != cs) {
+                    report
+                        .drifted
+                        .push((b.name.clone(), b.raw.clone(), c.raw.clone()));
+                }
                 if c.ops_per_sec < b.ops_per_sec * (1.0 - tolerance) {
                     report.regressions.push(Regression {
                         name: b.name.clone(),
@@ -347,6 +373,29 @@ mod tests {
         let report = diff(&base, &cur, DEFAULT_TOLERANCE).unwrap();
         assert!(report.passed());
         assert_eq!(report.added, vec!["new".to_string()]);
+    }
+
+    #[test]
+    fn sim_drift_fails_even_when_faster() {
+        let base = doc(&[("a", 1000.0), ("b", 1000.0)]);
+        let cur = base
+            .replace("\"ops\": 100,", "\"ops\": 101,")
+            .replacen("\"ops\": 101,", "\"ops\": 100,", 1)
+            .replace("\"ops_per_sec\": 1000.0", "\"ops_per_sec\": 9000.0");
+        let report = diff(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        assert!(!report.passed(), "an ops change must fail the gate");
+        assert!(report.regressions.is_empty());
+        assert_eq!(report.drifted.len(), 1);
+        assert_eq!(report.drifted[0].0, "b");
+        assert!(report.render(DEFAULT_TOLERANCE).contains("SIM DRIFT b"));
+
+        let cur = base.replace("\"sim_elapsed_ns\": 5.0", "\"sim_elapsed_ns\": 5.001");
+        let report = diff(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        assert!(
+            !report.passed(),
+            "a sim_elapsed_ns change must fail the gate"
+        );
+        assert_eq!(report.drifted.len(), 2);
     }
 
     #[test]

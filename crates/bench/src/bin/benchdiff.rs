@@ -1,13 +1,14 @@
 //! CI perf-regression gate: compares a fresh `BENCH_engine.json` against a
 //! committed baseline and exits non-zero when any bench slowed beyond the
-//! tolerance (or disappeared).
+//! tolerance, changed its `ops` or `sim_elapsed_ns` (sim drift), or
+//! disappeared.
 //!
 //! Usage: `benchdiff <baseline.json> <current.json> [--tolerance F] [--serve]`
 //! where `F` is the allowed relative slowdown (default 0.20 = ±20%, or
 //! ±10% under `--serve`). `--serve` switches the parser to the
 //! `BENCH_serve.json` schema and gates its knee/throughput lines.
 //!
-//! Exit codes: 0 pass, 1 regression/missing bench, 2 usage or read error.
+//! Exit codes: 0 pass, 1 regression/sim drift/missing bench, 2 usage or read error.
 
 use gpm_bench::benchdiff::{diff, diff_serve, DEFAULT_SERVE_TOLERANCE, DEFAULT_TOLERANCE};
 

@@ -27,6 +27,8 @@
 //! scheduler tick cannot fail the ±20% perf gate); `--trace <path>`
 //! additionally runs one small untimed kernel with a trace sink installed
 //! and writes a Chrome trace-event JSON (schema `gpm-trace-v1`) there.
+//! `--help` prints usage and exits 0; an unknown flag or a missing or
+//! invalid value prints usage and exits 2.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -714,6 +716,23 @@ struct Opts {
     trace: Option<String>,
 }
 
+const USAGE: &str = "usage: enginebench [--filter <substr>] [--reps <n>] [--trace <path>] [--help]";
+
+/// Prints `msg` (if any) and the usage line, then exits: 0 for `--help`,
+/// 2 for bad input.
+fn usage(msg: Option<&str>) -> ! {
+    match msg {
+        None => {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        Some(msg) => {
+            eprintln!("enginebench: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         filter: None,
@@ -722,20 +741,21 @@ fn parse_args() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| usage(Some(&format!("{a} needs {what}"))))
+        };
         match a.as_str() {
-            "--filter" => {
-                opts.filter = Some(args.next().expect("--filter needs a substring"));
-            }
+            "--help" | "-h" => usage(None),
+            "--filter" => opts.filter = Some(value("a substring")),
             "--reps" => {
-                opts.reps = args
-                    .next()
-                    .expect("--reps needs a count")
-                    .parse()
-                    .expect("--reps needs a positive integer");
-                assert!(opts.reps > 0, "--reps needs a positive integer");
+                opts.reps = match value("a count").parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage(Some("--reps needs a positive integer")),
+                };
             }
-            "--trace" => opts.trace = Some(args.next().expect("--trace needs a path")),
-            other => panic!("unknown flag {other:?} (expected --filter, --reps or --trace)"),
+            "--trace" => opts.trace = Some(value("a path")),
+            other => usage(Some(&format!("unknown flag {other:?}"))),
         }
     }
     opts

@@ -306,3 +306,34 @@ fn benchdiff_fails_on_two_x_slowdown_and_passes_identical() {
         "offending line must be printed: {stdout}"
     );
 }
+
+/// `enginebench --help` prints usage and exits 0; bad input prints usage
+/// and exits 2 instead of panicking with a backtrace. None of these runs a
+/// bench or writes `BENCH_engine.json`.
+#[test]
+fn enginebench_rejects_bad_input_with_usage() {
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_enginebench"))
+            .args(args)
+            .current_dir(std::env::temp_dir())
+            .output()
+            .expect("run enginebench")
+    };
+    let help = run(&["--help"]);
+    assert_eq!(help.status.code(), Some(0), "--help exits 0");
+    assert!(String::from_utf8_lossy(&help.stdout).starts_with("usage: enginebench"));
+    for args in [
+        &["--bogus"][..],
+        &["--reps"],
+        &["--reps", "0"],
+        &["--reps", "many"],
+        &["--filter"],
+        &["--trace"],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2");
+        assert!(stderr.contains("usage: enginebench"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+}

@@ -384,9 +384,9 @@ impl Machine {
 
     /// Batched [`Machine::gpu_system_fence`] for a warp's lockstep lanes:
     /// `lanes` fences by writers `writer0 .. writer0 + lanes`, counted
-    /// individually but drained (or epoch-closed) in one pending-table scan.
-    /// Lines shared between lanes drain once — exactly what sequential
-    /// per-lane fences would leave behind, reached in one pass.
+    /// individually but drained (or epoch-closed) in one pass over the
+    /// warp's pending-line index. Lines shared between lanes drain once —
+    /// exactly what sequential per-lane fences would leave behind.
     ///
     /// Emits a single [`EventKind::SystemFence`] carrying the total; callers
     /// needing per-lane fence events must issue per-lane fences instead (the

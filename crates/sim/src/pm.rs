@@ -24,6 +24,28 @@
 //! engine bench). Pages are now ~300 bytes, line storage is allocated once in
 //! the pool, and slots drained by a fence are recycled through a free list,
 //! so steady-state fence-per-store traffic allocates nothing at all.
+//!
+//! Writer-scoped drains — a strict fence ([`PmDevice::persist_writer`], a
+//! warp's [`PmDevice::persist_writers_range`]) and an epoch close
+//! ([`PmDevice::close_writer`], [`PmDevice::close_writers_range`]) — go
+//! through a *pending-line index* keyed by 32-writer bucket (`writer / 32`,
+//! one warp's writer range). Each bucket lists the pool slots of the lines
+//! its writers dirtied, so a fence visits only its own lines (one bucket, or
+//! two for an unaligned warp) instead of every directory page between the
+//! occupied-page watermarks. List entries carry the slot's generation, which
+//! bumps whenever the slot is released; entries for lines drained by anyone
+//! else are detected by a generation mismatch and compacted away in the next
+//! pass over the list. Buckets live in 64-bucket chunks behind a hash
+//! directory, so sparse writer ids (GPU global ids, `0xF000_0001`-style CPU
+//! writers) cost one chunk each; [`HOST_WRITER`] is never writer-fenced and
+//! is not indexed.
+//!
+//! Whole-table walks — [`PmDevice::crash`], [`PmDevice::crash_with_policy`],
+//! [`PmDevice::persist_all`], [`PmDevice::drain_closed`] — keep visiting
+//! the directory in ascending address order: crash subsets are defined by
+//! that order.
+
+use std::collections::HashMap;
 
 use crate::addr::{line_span, CPU_LINE};
 use crate::error::{SimError, SimResult};
@@ -40,19 +62,24 @@ pub const HOST_WRITER: WriterId = u32::MAX;
 /// Cache lines covered by one page of the pending line table.
 const LINES_PER_PAGE: u64 = 64;
 
-/// Writers tracked inline per line before spilling to the heap. A coalesced
-/// warp store puts up to `CPU_LINE / 4 = 16` distinct writers on one line;
-/// eight covers the common stride-8 and mixed cases without spilling.
-const INLINE_WRITERS: usize = 8;
+/// Arbitrary writers tracked inline per line before spilling to the heap.
+/// Three keeps [`Writers`] at 24 bytes; the common many-writer case, a
+/// warp's lockstep store putting up to `CPU_LINE / 4 = 16` consecutive
+/// writers on one line, is a [`Writers::Range`] and never spills.
+const INLINE_WRITERS: usize = 3;
 
-/// The set of writers with un-persisted stores to one line. Inline up to
-/// [`INLINE_WRITERS`] ids; spills to a `Vec` only for byte-granular sharing.
+/// The set of writers with un-persisted stores to one line.
 #[derive(Debug, Clone)]
 enum Writers {
+    /// Up to [`INLINE_WRITERS`] arbitrary ids.
     Inline {
         ids: [WriterId; INLINE_WRITERS],
         len: u8,
     },
+    /// The consecutive ids `[lo, lo + n)`, `n >= 1`: what lockstep lanes
+    /// leave on a line they share.
+    Range { lo: WriterId, n: u32 },
+    /// Any other set, for byte-granular sharing.
     Spill(Vec<WriterId>),
 }
 
@@ -70,10 +97,20 @@ impl Writers {
         *self = Writers::default();
     }
 
-    fn contains(&self, w: WriterId) -> bool {
-        match self {
-            Writers::Inline { ids, len } => ids[..*len as usize].contains(&w),
-            Writers::Spill(v) => v.contains(&w),
+    fn is_empty(&self) -> bool {
+        matches!(self, Writers::Inline { len: 0, .. })
+    }
+
+    /// The set holding exactly `ids` (distinct).
+    fn from_ids(ids: Vec<WriterId>) -> Writers {
+        if ids.len() > INLINE_WRITERS {
+            return Writers::Spill(ids);
+        }
+        let mut inline = [0; INLINE_WRITERS];
+        inline[..ids.len()].copy_from_slice(&ids);
+        Writers::Inline {
+            ids: inline,
+            len: ids.len() as u8,
         }
     }
 
@@ -83,6 +120,10 @@ impl Writers {
         let hit = |w: WriterId| w.wrapping_sub(w0) < n;
         match self {
             Writers::Inline { ids, len } => ids[..*len as usize].iter().copied().any(hit),
+            Writers::Range { lo, n: count } => {
+                let (lo, w0) = (u64::from(*lo), u64::from(w0));
+                lo < w0 + u64::from(n) && w0 < lo + u64::from(*count)
+            }
             Writers::Spill(v) => v.iter().copied().any(hit),
         }
     }
@@ -90,16 +131,37 @@ impl Writers {
     fn insert(&mut self, w: WriterId) {
         match self {
             Writers::Inline { ids, len } => {
-                if ids[..*len as usize].contains(&w) {
+                let l = *len as usize;
+                if ids[..l].contains(&w) {
                     return;
                 }
-                if (*len as usize) < INLINE_WRITERS {
-                    ids[*len as usize] = w;
+                if l == 1 && (ids[0].checked_add(1) == Some(w) || w.checked_add(1) == Some(ids[0]))
+                {
+                    *self = Writers::Range {
+                        lo: ids[0].min(w),
+                        n: 2,
+                    };
+                } else if l < INLINE_WRITERS {
+                    ids[l] = w;
                     *len += 1;
                 } else {
                     let mut v = ids.to_vec();
                     v.push(w);
                     *self = Writers::Spill(v);
+                }
+            }
+            Writers::Range { lo, n } => {
+                if w.wrapping_sub(*lo) < *n {
+                    return;
+                }
+                if lo.checked_add(*n) == Some(w) {
+                    *n += 1;
+                } else if w.checked_add(1) == Some(*lo) {
+                    *lo = w;
+                    *n += 1;
+                } else {
+                    let (lo, n) = (*lo, *n);
+                    *self = Writers::from_ids((0..n).map(|i| lo + i).chain([w]).collect());
                 }
             }
             Writers::Spill(v) => {
@@ -118,14 +180,177 @@ struct LineSlot {
     data: [u8; CPU_LINE as usize],
     /// Writers with un-persisted stores to the line.
     writers: Writers,
+    /// The cache line this slot holds while allocated.
+    line: u64,
+    /// Bumped every time the slot is released, so an index entry taken
+    /// before the release no longer matches.
+    gen: u32,
 }
 
-impl LineSlot {
-    fn new() -> LineSlot {
-        LineSlot {
-            data: [0; CPU_LINE as usize],
-            writers: Writers::default(),
+/// Writers per pending-line index bucket: one warp's lockstep writer range.
+const BUCKET_WRITERS: u32 = 32;
+
+/// The index bucket holding `writer`'s lines.
+fn bucket_of(writer: WriterId) -> u32 {
+    writer / BUCKET_WRITERS
+}
+
+/// The indexed writers of bucket `b`: `[w0, w0 + n)`. The last bucket stops
+/// short of [`HOST_WRITER`], which is not indexed.
+fn bucket_writers(b: u32) -> (WriterId, u32) {
+    let w0 = b * BUCKET_WRITERS;
+    (w0, BUCKET_WRITERS.min(HOST_WRITER - w0))
+}
+
+/// One entry of a bucket list: a pool slot and the generation it had when
+/// the entry was pushed. Live iff the slot still has that generation.
+#[derive(Debug, Clone, Copy)]
+struct LineRef {
+    idx: u32,
+    gen: u32,
+}
+
+impl LineRef {
+    fn live(self, pool: &[LineSlot]) -> bool {
+        pool[self.idx as usize].gen == self.gen
+    }
+}
+
+/// End-of-list marker for [`LineIndex`] links.
+const NIL: u32 = u32::MAX;
+
+/// Buckets per directory chunk of the [`LineIndex`].
+const CHUNK_BUCKETS: u32 = 64;
+
+/// Length below which a bucket list is never compacted on push.
+const MIN_COMPACT_AT: u32 = 32;
+
+/// A bucket's list of pending lines, singly linked through
+/// [`LineIndex::nodes`], newest first. Holds at most one live entry per
+/// line. Stale entries are dropped by the next walk of the list — a drain,
+/// or a push once `len` reaches `compact_at` — so a list stays within twice
+/// its live lines plus [`MIN_COMPACT_AT`].
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    len: u32,
+    compact_at: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        len: 0,
+        compact_at: MIN_COMPACT_AT,
+    };
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    line: LineRef,
+    next: u32,
+}
+
+/// The pending-line index: per 32-writer bucket, the lines its writers
+/// dirtied. Buckets live in 64-bucket chunks found through a hash
+/// directory, so sparse writer ids cost one chunk each and a warp store
+/// usually hits the cached chunk of the previous one. List nodes share one
+/// arena with a free list, so steady-state traffic allocates nothing.
+#[derive(Debug, Default)]
+struct LineIndex {
+    /// Chunk id (`bucket / 64`) → chunk number; chunk `c` owns
+    /// `buckets[c * 64 .. c * 64 + 64]`.
+    dir: HashMap<u32, u32>,
+    buckets: Vec<Bucket>,
+    /// The most recently used `(chunk id, chunk number)`.
+    last: Option<(u32, u32)>,
+    nodes: Vec<Node>,
+    /// Node ids whose entries were dropped, ready for reuse.
+    free_nodes: Vec<u32>,
+}
+
+impl LineIndex {
+    /// Position of bucket `b` in `buckets`, creating its chunk if `create`.
+    fn find(&mut self, b: u32, create: bool) -> Option<usize> {
+        let chunk = b / CHUNK_BUCKETS;
+        let c = match self.last {
+            Some((id, c)) if id == chunk => c,
+            _ => {
+                let c = match self.dir.get(&chunk) {
+                    Some(&c) => c,
+                    None if create => {
+                        let c = (self.buckets.len() / CHUNK_BUCKETS as usize) as u32;
+                        self.buckets
+                            .resize(self.buckets.len() + CHUNK_BUCKETS as usize, Bucket::EMPTY);
+                        self.dir.insert(chunk, c);
+                        c
+                    }
+                    None => return None,
+                };
+                self.last = Some((chunk, c));
+                c
+            }
+        };
+        Some((c * CHUNK_BUCKETS + b % CHUNK_BUCKETS) as usize)
+    }
+
+    /// Pushes `line` onto bucket `b`'s list, compacting the list first once
+    /// it has reached its compaction mark.
+    fn push(&mut self, b: u32, line: LineRef, pool: &[LineSlot]) {
+        let pos = self.find(b, true).expect("created");
+        if self.buckets[pos].len >= self.buckets[pos].compact_at {
+            self.walk(pos, |r| r.live(pool));
         }
+        let bucket = &mut self.buckets[pos];
+        let node = Node {
+            line,
+            next: bucket.head,
+        };
+        bucket.head = match self.free_nodes.pop() {
+            Some(n) => {
+                self.nodes[n as usize] = node;
+                n
+            }
+            None => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("index exceeds u32 nodes")
+            }
+        };
+        bucket.len += 1;
+    }
+
+    /// Walks the list at `pos`, keeping the entries `keep` accepts and
+    /// returning the rest to the node free list.
+    fn walk(&mut self, pos: usize, mut keep: impl FnMut(LineRef) -> bool) {
+        let Bucket { mut head, .. } = self.buckets[pos];
+        let (mut cur, mut prev, mut len) = (head, NIL, 0);
+        while cur != NIL {
+            let Node { line, next } = self.nodes[cur as usize];
+            if keep(line) {
+                prev = cur;
+                len += 1;
+            } else {
+                if prev == NIL {
+                    head = next;
+                } else {
+                    self.nodes[prev as usize].next = next;
+                }
+                self.free_nodes.push(cur);
+            }
+            cur = next;
+        }
+        self.buckets[pos] = Bucket {
+            head,
+            len,
+            compact_at: (2 * len).max(MIN_COMPACT_AT),
+        };
+    }
+
+    /// Empties every list (the pending table has drained completely).
+    fn clear(&mut self) {
+        self.buckets.fill(Bucket::EMPTY);
+        self.nodes.clear();
+        self.free_nodes.clear();
     }
 }
 
@@ -270,10 +495,16 @@ pub struct PmDevice {
     pool: Vec<LineSlot>,
     /// Pool indices whose lines have drained, ready for reuse.
     free_slots: Vec<u32>,
+    /// Pending-line index: bucket `writer / 32` → the lines its writers
+    /// dirtied. Every pending line with a non-host writer `w` has a live
+    /// entry in bucket `w / 32`.
+    index: LineIndex,
+    /// Scratch for a writer drain: the lines one bucket walk selected.
+    hits: Vec<u64>,
     /// Watermarks bounding the directory pages that may hold pending lines
     /// (`occ_lo > occ_hi` ⇔ none). They only widen while lines are pending
-    /// and snap shut when the table drains, so a fence-per-store workload
-    /// scans one page per fence instead of the whole directory.
+    /// and snap shut when the table drains, bounding the address-order walks
+    /// of crashes and epoch-boundary drains.
     occ_lo: usize,
     occ_hi: usize,
 }
@@ -289,23 +520,57 @@ impl PmDevice {
             pending_count: 0,
             pool: Vec::new(),
             free_slots: Vec::new(),
+            index: LineIndex::default(),
+            hits: Vec::new(),
             occ_lo: usize::MAX,
             occ_hi: 0,
         }
     }
 
-    /// Takes a line slot from the free list (writer set cleared) or grows the
-    /// pool. The data bytes are left stale: every caller fills the whole line
-    /// from media before exposing it.
-    fn alloc_slot(&mut self) -> u32 {
+    /// Takes a line slot for `line` from the free list (writer set cleared)
+    /// or grows the pool. The data bytes are left stale: every caller fills
+    /// the whole line from media before exposing it.
+    fn alloc_slot(&mut self, line: u64) -> u32 {
         match self.free_slots.pop() {
             Some(idx) => {
-                self.pool[idx as usize].writers.clear();
+                let slot = &mut self.pool[idx as usize];
+                slot.writers.clear();
+                slot.line = line;
                 idx
             }
             None => {
-                self.pool.push(LineSlot::new());
+                self.pool.push(LineSlot {
+                    data: [0; CPU_LINE as usize],
+                    writers: Writers::default(),
+                    line,
+                    gen: 0,
+                });
                 u32::try_from(self.pool.len() - 1).expect("pending-line pool exceeds u32 slots")
+            }
+        }
+    }
+
+    /// Returns a drained or dropped line's slot to the free list. Bumping
+    /// the generation turns every index entry for it stale.
+    fn release_slot(&mut self, idx: u32) {
+        let slot = &mut self.pool[idx as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free_slots.push(idx);
+    }
+
+    /// Indexes slot `idx` under every bucket among writers `[w_first,
+    /// w_last]` that has no writer on the line yet. Called before the
+    /// writers are inserted, so each line enters a bucket list once.
+    fn index_writers(&mut self, idx: u32, w_first: WriterId, w_last: WriterId) {
+        if w_first == HOST_WRITER {
+            return;
+        }
+        let slot = &self.pool[idx as usize];
+        let line = LineRef { idx, gen: slot.gen };
+        for b in bucket_of(w_first)..=bucket_of(w_last.min(HOST_WRITER - 1)) {
+            let (w0, n) = bucket_writers(b);
+            if !slot.writers.contains_range(w0, n) {
+                self.index.push(b, line, &self.pool);
             }
         }
     }
@@ -382,7 +647,7 @@ impl PmDevice {
             if offset <= lstart && end >= lend {
                 page.present &= !bit;
                 page.closed &= !bit;
-                self.free_slots.push(idx);
+                self.release_slot(idx);
                 self.pending_count -= 1;
             } else {
                 let s = offset.max(lstart);
@@ -415,7 +680,7 @@ impl PmDevice {
                 None => true,
             };
             let idx = if absent {
-                let idx = self.alloc_slot();
+                let idx = self.alloc_slot(line);
                 self.media.read(lstart, &mut self.pool[idx as usize].data);
                 let page = self.pending[ppage].get_or_insert_with(|| Box::new(PendingPage::new()));
                 page.present |= bit;
@@ -431,6 +696,7 @@ impl PmDevice {
                 page.closed &= !bit;
                 page.slots[slot]
             };
+            self.index_writers(idx, writer, writer);
             let lslot = &mut self.pool[idx as usize];
             lslot.writers.insert(writer);
             let s = offset.max(lstart);
@@ -477,7 +743,7 @@ impl PmDevice {
             let s = offset.max(lstart);
             let e = end.min(lstart + CPU_LINE);
             let idx = if absent {
-                let idx = self.alloc_slot();
+                let idx = self.alloc_slot(line);
                 if e - s < CPU_LINE {
                     // Partially covered fresh line: expose media for the
                     // untouched bytes. A fully covered line skips the fill —
@@ -497,24 +763,20 @@ impl PmDevice {
                 page.closed &= !bit;
                 page.slots[slot]
             };
-            let lslot = &mut self.pool[idx as usize];
             // Writers covering this line, in ascending (= lane) order.
             let w_first = writer0 + ((s - offset) / lane_bytes as u64) as WriterId;
             let w_last = writer0 + ((e - 1 - offset) / lane_bytes as u64) as WriterId;
-            let n = (w_last - w_first + 1) as usize;
-            match &mut lslot.writers {
-                // Fresh slot with few enough lanes: fill the inline set
-                // directly, skipping per-writer membership probes.
-                Writers::Inline { ids, len } if *len == 0 && n <= INLINE_WRITERS => {
-                    for (i, id) in ids[..n].iter_mut().enumerate() {
-                        *id = w_first + i as WriterId;
-                    }
-                    *len = n as u8;
-                }
-                _ => {
-                    for w in w_first..=w_last {
-                        lslot.writers.insert(w);
-                    }
+            self.index_writers(idx, w_first, w_last);
+            let lslot = &mut self.pool[idx as usize];
+            if lslot.writers.is_empty() {
+                // Fresh slot: the lanes are one consecutive range.
+                lslot.writers = Writers::Range {
+                    lo: w_first,
+                    n: w_last - w_first + 1,
+                };
+            } else {
+                for w in w_first..=w_last {
+                    lslot.writers.insert(w);
                 }
             }
             lslot.data[(s - lstart) as usize..(e - lstart) as usize]
@@ -568,9 +830,20 @@ impl PmDevice {
             buf.copy_from_slice(&self.pool[idx as usize].data);
             page.present &= !(1u64 << slot);
             page.closed &= !(1u64 << slot);
-            self.free_slots.push(idx);
+            self.release_slot(idx);
         }
         self.media.write(lstart, &buf[..(end - lstart) as usize]);
+        self.pending_count -= 1;
+    }
+
+    /// Drops a pending line without applying it (a crash lost it). The
+    /// caller guarantees the line is present.
+    fn drop_line_at(&mut self, ppage: usize, slot: usize) {
+        let page = self.pending[ppage].as_deref_mut().expect("line present");
+        page.present &= !(1u64 << slot);
+        page.closed &= !(1u64 << slot);
+        let idx = page.slots[slot];
+        self.release_slot(idx);
         self.pending_count -= 1;
     }
 
@@ -580,60 +853,17 @@ impl PmDevice {
     ///
     /// Returns the number of lines made durable.
     pub fn persist_writer(&mut self, writer: WriterId) -> u64 {
-        let Some(pages) = self.occupied_pages() else {
-            return 0;
-        };
-        let mut n = 0;
-        for ppage in pages {
-            let Some(page) = self.pending[ppage].as_deref() else {
-                continue;
-            };
-            let mut bits = page.present;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let page = self.pending[ppage].as_deref().expect("page resident");
-                if self.pool[page.slots[slot] as usize]
-                    .writers
-                    .contains(writer)
-                {
-                    self.apply_line_at(ppage, slot);
-                    n += 1;
-                }
-            }
-        }
-        self.settle_watermarks();
-        n
+        self.persist_writers_range(writer, 1)
     }
 
     /// Drains every pending line tagged with any writer in
     /// `[writer0, writer0 + lanes)` — the effect of a warp's 32 lockstep
-    /// persist fences, executed as one table scan instead of 32.
+    /// persist fences, executed as one pass over the warp's index bucket
+    /// instead of 32.
     ///
     /// Returns the number of lines made durable.
     pub fn persist_writers_range(&mut self, writer0: WriterId, lanes: u32) -> u64 {
-        let Some(pages) = self.occupied_pages() else {
-            return 0;
-        };
-        let mut n = 0;
-        for ppage in pages {
-            let Some(page) = self.pending[ppage].as_deref() else {
-                continue;
-            };
-            let mut bits = page.present;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let page = self.pending[ppage].as_deref().expect("page resident");
-                if self.pool[page.slots[slot] as usize]
-                    .writers
-                    .contains_range(writer0, lanes)
-                {
-                    self.apply_line_at(ppage, slot);
-                    n += 1;
-                }
-            }
-        }
+        let n = self.drain_writers(writer0, lanes, true);
         self.settle_watermarks();
         n
     }
@@ -643,34 +873,69 @@ impl PmDevice {
     /// (a crash can still drop them) until [`PmDevice::drain_closed`] runs at
     /// the epoch boundary. Returns the number of lines newly closed.
     pub fn close_writer(&mut self, writer: WriterId) -> u64 {
-        self.close_where(|writers| writers.contains(writer))
+        self.close_writers_range(writer, 1)
     }
 
     /// Batched [`PmDevice::close_writer`] over `[writer0, writer0 + lanes)`:
-    /// one table scan for a warp's lockstep epoch fences.
+    /// one index pass for a warp's lockstep epoch fences.
     pub fn close_writers_range(&mut self, writer0: WriterId, lanes: u32) -> u64 {
-        self.close_where(|writers| writers.contains_range(writer0, lanes))
+        self.drain_writers(writer0, lanes, false)
     }
 
-    fn close_where(&mut self, hit: impl Fn(&Writers) -> bool) -> u64 {
-        let Some(pages) = self.occupied_pages() else {
+    /// Walks the bucket lists covering `[writer0, writer0 + lanes)` and, for
+    /// every live line with a writer in that range, applies it to media
+    /// (`apply`) or closes it into the open epoch (`!apply`). Stale entries
+    /// and applied lines leave the lists in the same pass. Returns the
+    /// number of lines applied or newly closed.
+    fn drain_writers(&mut self, writer0: WriterId, lanes: u32, apply: bool) -> u64 {
+        if lanes == 0 || self.pending_count == 0 {
             return 0;
-        };
+        }
+        debug_assert!(
+            writer0.checked_add(lanes).is_some(),
+            "HOST_WRITER is never writer-fenced"
+        );
         let mut n = 0;
-        for ppage in pages {
-            let Some(page) = self.pending[ppage].as_deref_mut() else {
+        let mut hits = std::mem::take(&mut self.hits);
+        for b in bucket_of(writer0)..=bucket_of(writer0 + (lanes - 1)) {
+            let Some(pos) = self.index.find(b, false) else {
                 continue;
             };
-            let mut bits = page.present & !page.closed;
-            while bits != 0 {
-                let slot = bits.trailing_zeros();
-                bits &= bits - 1;
-                if hit(&self.pool[page.slots[slot as usize] as usize].writers) {
-                    page.closed |= 1u64 << slot;
+            let (pool, pending) = (&self.pool, &mut self.pending);
+            self.index.walk(pos, |r| {
+                let slot = &pool[r.idx as usize];
+                if slot.gen != r.gen {
+                    return false;
+                }
+                if !slot.writers.contains_range(writer0, lanes) {
+                    return true;
+                }
+                if apply {
+                    hits.push(slot.line);
+                    return false;
+                }
+                let page = pending[(slot.line / LINES_PER_PAGE) as usize]
+                    .as_deref_mut()
+                    .expect("line present");
+                let bit = 1u64 << (slot.line % LINES_PER_PAGE);
+                if page.closed & bit == 0 {
+                    page.closed |= bit;
                     n += 1;
                 }
+                true
+            });
+            // Applied after the walk, so a line listed in both buckets of
+            // an unaligned warp is stale by the second walk.
+            for &line in &hits {
+                self.apply_line_at(
+                    (line / LINES_PER_PAGE) as usize,
+                    (line % LINES_PER_PAGE) as usize,
+                );
             }
+            n += hits.len() as u64;
+            hits.clear();
         }
+        self.hits = hits;
         n
     }
 
@@ -752,6 +1017,7 @@ impl PmDevice {
             }
         }
         self.settle_watermarks();
+        self.index.clear();
         n
     }
 
@@ -797,16 +1063,13 @@ impl PmDevice {
                     self.apply_line_at(ppage, slot);
                     report.lines_applied += 1;
                 } else {
-                    let page = self.pending[ppage].as_deref_mut().expect("page resident");
-                    page.present &= !(1u64 << slot);
-                    page.closed &= !(1u64 << slot);
-                    self.free_slots.push(page.slots[slot]);
-                    self.pending_count -= 1;
+                    self.drop_line_at(ppage, slot);
                     report.lines_dropped += 1;
                 }
             }
         }
         self.settle_watermarks();
+        self.index.clear();
         report
     }
 
@@ -848,16 +1111,13 @@ impl PmDevice {
                     self.apply_line_at(ppage, slot);
                     report.lines_applied += 1;
                 } else {
-                    let page = self.pending[ppage].as_deref_mut().expect("page resident");
-                    page.present &= !(1u64 << slot);
-                    page.closed &= !(1u64 << slot);
-                    self.free_slots.push(page.slots[slot]);
-                    self.pending_count -= 1;
+                    self.drop_line_at(ppage, slot);
                     report.lines_dropped += 1;
                 }
             }
         }
         self.settle_watermarks();
+        self.index.clear();
         report
     }
 
@@ -1319,5 +1579,134 @@ mod tests {
         for (w, &byte) in b.iter().enumerate() {
             assert_eq!(byte, w as u8 + 1);
         }
+    }
+
+    /// Entries (live or stale) in the list of `writer`'s bucket.
+    fn bucket_len(pm: &mut PmDevice, writer: WriterId) -> u32 {
+        let b = bucket_of(writer);
+        pm.index
+            .find(b, false)
+            .map_or(0, |pos| pm.index.buckets[pos].len)
+    }
+
+    /// The bound every bucket list keeps: twice its live lines plus the
+    /// compaction floor.
+    fn assert_bounded(pm: &mut PmDevice, writer: WriterId, live: usize) {
+        let len = bucket_len(pm, writer) as usize;
+        assert!(
+            len <= 2 * live + MIN_COMPACT_AT as usize,
+            "bucket of writer {writer} holds {len} entries for {live} live lines"
+        );
+    }
+
+    #[test]
+    fn lines_drained_by_others_do_not_accumulate_in_a_bucket() {
+        // Writer 5 (warp 0) keeps re-dirtying eight lines that someone else
+        // drains every round: a fence by warp 1 sharing the line, a CPU
+        // flush by address, or a durable write covering the line. Warp 0
+        // never fences, so only compaction keeps its list short.
+        let mut pm = PmDevice::new(1 << 16);
+        for round in 0..3_000u64 {
+            let off = (round % 8) * 64;
+            pm.write_visible(5, off, &[1; 8]).unwrap();
+            match round % 3 {
+                0 => {
+                    pm.write_visible(40, off + 8, &[2; 8]).unwrap();
+                    assert_eq!(pm.persist_writer(40), 1);
+                }
+                1 => assert_eq!(pm.persist_range(off, 1), 1),
+                _ => pm.write_durable(off, &[3; 64]).unwrap(),
+            }
+            assert_eq!(pm.pending_line_count(), 0);
+            assert_bounded(&mut pm, 5, 0);
+        }
+        // A warp fence still finds exactly its live lines afterwards.
+        pm.write_visible_lanes(0, 8, 0, &[9; 256]).unwrap();
+        assert_eq!(pm.persist_writers_range(0, 32), 4);
+        assert_eq!(bucket_len(&mut pm, 5), 0, "the drain compacts the list");
+    }
+
+    #[test]
+    fn a_writer_that_never_fences_keeps_one_entry_per_live_line() {
+        let mut pm = PmDevice::new(1 << 20);
+        // Rewriting the same lines adds nothing: the line already has a
+        // writer from the bucket.
+        for _ in 0..10 {
+            for i in 0..1000u64 {
+                pm.write_visible(7, i * 64, &[1; 8]).unwrap();
+            }
+        }
+        assert_eq!(bucket_len(&mut pm, 7), 1000);
+        // Half the lines drain by address and get re-dirtied, over and over.
+        for _ in 0..20 {
+            pm.persist_range(0, 500 * 64);
+            for i in 0..500u64 {
+                pm.write_visible(7, i * 64, &[2; 8]).unwrap();
+            }
+            assert_bounded(&mut pm, 7, 1000);
+        }
+        assert_eq!(pm.persist_writer(7), 1000);
+        assert_eq!(bucket_len(&mut pm, 7), 0);
+    }
+
+    #[test]
+    fn sparse_writer_ids_cost_one_bucket_chunk_each() {
+        let mut pm = PmDevice::new(1 << 24);
+        pm.write_visible(0xF000_0001, 0, &[1; 8]).unwrap();
+        pm.write_visible(0xF000_0002, 64, &[2; 8]).unwrap();
+        // The last warp of a 1M-thread grid, and two warps in between.
+        for warp in [0u32, 1000, 32_767] {
+            pm.write_visible_lanes(warp * 32, 8, 4096 + u64::from(warp) * 256, &[3; 256])
+                .unwrap();
+        }
+        pm.write_visible(HOST_WRITER, 128, &[4; 8]).unwrap();
+        // Two CPU writers share a chunk; the three GPU warps need three;
+        // the host needs none.
+        assert_eq!(pm.index.dir.len(), 4);
+        assert_eq!(pm.index.buckets.len(), 4 * CHUNK_BUCKETS as usize);
+        assert_eq!(pm.index.nodes.len(), 2 + 3 * 4);
+        assert_eq!(pm.persist_writer(0xF000_0001), 1);
+        assert_eq!(pm.persist_writers_range(32_767 * 32, 32), 4);
+        // Host lines drain only by address, by a full drain or by a crash.
+        assert_eq!(pm.pending_line_count(), 1 + 2 * 4 + 1);
+        assert_eq!(pm.persist_all(), 10);
+    }
+
+    #[test]
+    fn writer_sets_keep_set_semantics_across_representations() {
+        let mut w = Writers::default();
+        for id in [10, 11, 9, 12, 11] {
+            w.insert(id);
+        }
+        assert!(matches!(w, Writers::Range { lo: 9, n: 4 }));
+        assert!(w.contains_range(12, 1) && w.contains_range(0, 10));
+        assert!(!w.contains_range(13, 100) && !w.contains_range(0, 9));
+        // A non-adjacent id turns the range into an explicit set.
+        w.insert(40);
+        assert!(matches!(w, Writers::Spill(ref v) if v.len() == 5));
+        assert!(w.contains_range(40, 1) && !w.contains_range(13, 27));
+        let mut small = Writers::Range { lo: 5, n: 2 };
+        small.insert(9);
+        assert!(matches!(small, Writers::Inline { len: 3, .. }));
+        assert!(small.contains_range(9, 1) && !small.contains_range(7, 2));
+        // The top of the id space does not overflow.
+        let mut top = Writers::default();
+        top.insert(HOST_WRITER - 1);
+        top.insert(HOST_WRITER);
+        assert!(top.contains_range(HOST_WRITER, 1));
+        assert!(matches!(top, Writers::Range { n: 2, .. }));
+    }
+
+    #[test]
+    fn unaligned_warp_fence_drains_both_buckets() {
+        let mut pm = PmDevice::new(1 << 16);
+        // Writers 16..48 straddle buckets 0 and 1; one line each.
+        for w in 16..48u32 {
+            pm.write_visible(w, u64::from(w) * 64, &[1; 8]).unwrap();
+        }
+        assert_eq!(pm.close_writers_range(16, 32), 32);
+        assert_eq!(pm.close_writers_range(16, 32), 0, "already closed");
+        assert_eq!(pm.persist_writers_range(16, 32), 32);
+        assert_eq!(pm.pending_line_count(), 0);
     }
 }
