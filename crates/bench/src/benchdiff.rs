@@ -1,7 +1,7 @@
 //! Perf-regression comparison over `BENCH_engine.json` files.
 //!
-//! The enginebench schema (`gpm-enginebench-v2`) writes one bench object
-//! per line, so this module gets away with a line-oriented scanner instead
+//! Every enginebench schema (`gpm-enginebench-v2` through `-v4`) writes one
+//! bench object per line, so this module gets away with a line-oriented scanner instead
 //! of a JSON parser — keeping the gate dependency-free. A bench line looks
 //! like:
 //!
@@ -299,9 +299,7 @@ mod tests {
     use super::*;
 
     fn doc(benches: &[(&str, f64)]) -> String {
-        let mut out = String::from(
-            "{\n  \"schema\": \"gpm-enginebench-v2\",\n  \"engine_threads\": 4,\n  \"benches\": [\n",
-        );
+        let mut out = String::from("{\n  \"schema\": \"gpm-enginebench-v4\",\n  \"benches\": [\n");
         for (i, (name, ops)) in benches.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -320,6 +318,21 @@ mod tests {
         assert_eq!(benches.len(), 2);
         assert_eq!(benches[0].name, "a");
         assert!((benches[1].ops_per_sec - 2000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn older_schema_header_still_diffs() {
+        // v2/v3 files carry an `engine_threads` header line; a baseline in
+        // that shape must diff cleanly against a v4 run.
+        let cur = doc(&[("a", 1000.0)]);
+        let base = cur.replace(
+            "\"gpm-enginebench-v4\",\n",
+            "\"gpm-enginebench-v3\",\n  \"engine_threads\": 2,\n",
+        );
+        assert_ne!(base, cur);
+        let report = diff(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        assert!(report.passed());
+        assert_eq!(report.compared, 1);
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //! - `--trace PATH`        write a Chrome trace-event JSON (schema
 //!   `gpm-trace-v1`) of the traced runs: in repro mode the single case,
 //!   otherwise each workload's schedule-recording run
+//! - `--help`            print usage and exit 0; an unknown flag, a missing
+//!   or invalid value, or `--fuel` without `--policy` and `--workload`
+//!   prints usage and exits 2
 //!
 //! The campaign always runs under strict persistency (it pins the process
 //! default, so `GPM_PERSISTENCY=epoch` is ignored with a note): the oracles
@@ -41,6 +44,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gpm_bench::cli::Cli;
 use gpm_sim::{
     chrome_trace_json, enumerate_cases, run_campaign, CampaignConfig, CampaignStats, CrashPolicy,
     CrashSchedule, Machine, RingSink, TraceData,
@@ -60,6 +64,10 @@ struct Opts {
     trace: Option<String>,
 }
 
+const USAGE: &str = "usage: campaign [--quick] [--workload NAME] [--list-workloads] \
+[--fuel N --policy P] [--max-points N] [--double-recovery] [--inject-bug] [--out PATH] \
+[--trace PATH] [--help]";
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
@@ -72,8 +80,8 @@ fn parse_args() -> Opts {
         out: "BENCH_campaign.json".to_string(),
         trace: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut cli = Cli::new("campaign", USAGE);
+    while let Some(a) = cli.next_flag() {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--list-workloads" => {
@@ -84,34 +92,21 @@ fn parse_args() -> Opts {
             }
             "--inject-bug" => opts.inject_bug = true,
             "--double-recovery" => opts.double_recovery = true,
-            "--workload" => opts.workload = Some(args.next().expect("--workload needs a name")),
-            "--fuel" => {
-                opts.fuel = Some(
-                    args.next()
-                        .expect("--fuel needs a count")
-                        .parse()
-                        .expect("--fuel needs an op count"),
-                );
-            }
-            "--policy" => {
-                opts.policy = Some(
-                    args.next()
-                        .expect("--policy needs a value")
-                        .parse()
-                        .expect("--policy needs all | none | gray:K | random:S"),
-                );
-            }
-            "--max-points" => {
-                opts.max_points = Some(
-                    args.next()
-                        .expect("--max-points needs a count")
-                        .parse()
-                        .expect("--max-points needs an integer"),
-                );
-            }
-            "--out" => opts.out = args.next().expect("--out needs a path"),
-            "--trace" => opts.trace = Some(args.next().expect("--trace needs a path")),
-            other => panic!("unknown flag {other:?}"),
+            "--workload" => opts.workload = Some(cli.value(&a, "a name")),
+            "--fuel" => opts.fuel = Some(cli.parsed(&a, "an op count")),
+            "--policy" => opts.policy = Some(cli.parsed(&a, "all | none | gray:K | random:S")),
+            "--max-points" => opts.max_points = Some(cli.parsed(&a, "an integer")),
+            "--out" => opts.out = cli.value(&a, "a path"),
+            "--trace" => opts.trace = Some(cli.value(&a, "a path")),
+            other => cli.fail(&format!("unknown flag {other:?}")),
+        }
+    }
+    if opts.fuel.is_some() {
+        if opts.policy.is_none() {
+            cli.fail("--fuel needs --policy");
+        }
+        if opts.workload.is_none() {
+            cli.fail("--fuel needs --workload");
         }
     }
     opts
@@ -307,8 +302,7 @@ fn main() {
 
     // Single-case repro mode.
     if let Some(fuel) = opts.fuel {
-        let policy = opts.policy.expect("--fuel needs --policy");
-        assert!(opts.workload.is_some(), "--fuel needs --workload");
+        let policy = opts.policy.expect("checked by parse_args");
         let mut failed = false;
         let mut traced: Vec<(String, TraceData)> = Vec::new();
         let mut trace_bytes = 0u64;

@@ -4,8 +4,7 @@
 //!
 //! Everything is simulated time and seed-deterministic: the same seed and
 //! flags produce a byte-identical `BENCH_serve.json` (schema
-//! `gpm-serve-v2`), run to run and across `GPM_ENGINE_THREADS` settings —
-//! no wall-clock field enters the JSON.
+//! `gpm-serve-v2`) run to run — no wall-clock field enters the JSON.
 //!
 //! Flags:
 //! - `--quick`       small sweep (completes in seconds; CI smoke)
@@ -22,9 +21,12 @@
 //! - `--inject-bug`      with `--scenario replication|resharding`: inject
 //!   the fabric corruption and exit 0 iff the consistency oracle caught
 //!   it (campaign-style self-test semantics)
+//! - `--help`            print usage and exit 0; an unknown flag or a
+//!   missing or invalid value prints usage and exits 2
 
 use std::fmt::Write as _;
 
+use gpm_bench::cli::Cli;
 use gpm_gpu::PersistencyModel;
 use gpm_serve::{
     run_cluster, run_scenario, scenario_names, ArrivalShape, BackendKind, BatchPolicy,
@@ -45,6 +47,10 @@ struct Opts {
     inject_bug: bool,
 }
 
+const USAGE: &str = "usage: serve [--quick] [--seed N] [--slo-us F] [--out PATH] \
+[--trace PATH] [--persistency strict|epoch] [--list-scenarios] [--scenario NAME] \
+[--inject-bug] [--help]";
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
@@ -57,38 +63,27 @@ fn parse_args() -> Opts {
         list_scenarios: false,
         inject_bug: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut cli = Cli::new("serve", USAGE);
+    while let Some(a) = cli.next_flag() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed needs an integer");
-            }
-            "--slo-us" => {
-                opts.slo_us = args
-                    .next()
-                    .expect("--slo-us needs a value")
-                    .parse()
-                    .expect("--slo-us needs a number");
-            }
-            "--out" => opts.out = args.next().expect("--out needs a path"),
-            "--trace" => opts.trace = Some(args.next().expect("--trace needs a path")),
+            "--seed" => opts.seed = cli.parsed(&a, "an integer"),
+            "--slo-us" => opts.slo_us = cli.parsed(&a, "a number"),
+            "--out" => opts.out = cli.value(&a, "a path"),
+            "--trace" => opts.trace = Some(cli.value(&a, "a path")),
             "--persistency" => {
-                let v = args.next().expect("--persistency needs strict|epoch");
-                opts.persistency = Some(match v.as_str() {
+                opts.persistency = Some(match cli.value(&a, "strict|epoch").as_str() {
                     "strict" => PersistencyModel::Strict,
                     "epoch" => PersistencyModel::Epoch,
-                    other => panic!("--persistency must be strict or epoch, got {other:?}"),
+                    other => cli.fail(&format!(
+                        "--persistency must be strict or epoch, got {other:?}"
+                    )),
                 });
             }
-            "--scenario" => opts.scenario = Some(args.next().expect("--scenario needs a name")),
+            "--scenario" => opts.scenario = Some(cli.value(&a, "a name")),
             "--list-scenarios" => opts.list_scenarios = true,
             "--inject-bug" => opts.inject_bug = true,
-            other => panic!("unknown flag {other:?}"),
+            other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
     opts

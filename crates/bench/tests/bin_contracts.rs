@@ -274,7 +274,7 @@ fn serve_inject_bug_exit_semantics() {
 fn benchdiff_fails_on_two_x_slowdown_and_passes_identical() {
     let doc = |ops: f64| {
         format!(
-            "{{\n  \"schema\": \"gpm-enginebench-v2\",\n  \"engine_threads\": 4,\n  \"benches\": [\n    \
+            "{{\n  \"schema\": \"gpm-enginebench-v4\",\n  \"benches\": [\n    \
              {{\"name\": \"coalesced_store_1m\", \"threads\": 1048576, \"ops\": 1048576, \"reps\": 3, \
              \"best_wall_s\": 0.1, \"ops_per_sec\": {ops:.1}, \"sim_elapsed_ns\": 5.0}}\n  ]\n}}\n"
         )
@@ -312,28 +312,99 @@ fn benchdiff_fails_on_two_x_slowdown_and_passes_identical() {
 /// bench or writes `BENCH_engine.json`.
 #[test]
 fn enginebench_rejects_bad_input_with_usage() {
+    assert_usage_contract(
+        env!("CARGO_BIN_EXE_enginebench"),
+        "enginebench",
+        &[
+            &["--bogus"],
+            &["--reps"],
+            &["--reps", "0"],
+            &["--reps", "many"],
+            &["--filter"],
+            &["--trace"],
+        ],
+    );
+}
+
+/// Asserts the shared usage contract for one binary: `--help` prints usage
+/// to stdout and exits 0; each bad argument list prints usage to stderr
+/// and exits 2 without a panic backtrace.
+fn assert_usage_contract(exe: &str, bin: &str, bad: &[&[&str]]) {
     let run = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_enginebench"))
+        Command::new(exe)
             .args(args)
             .current_dir(std::env::temp_dir())
             .output()
-            .expect("run enginebench")
+            .unwrap_or_else(|e| panic!("run {bin}: {e}"))
     };
+    let usage = format!("usage: {bin}");
     let help = run(&["--help"]);
-    assert_eq!(help.status.code(), Some(0), "--help exits 0");
-    assert!(String::from_utf8_lossy(&help.stdout).starts_with("usage: enginebench"));
-    for args in [
-        &["--bogus"][..],
-        &["--reps"],
-        &["--reps", "0"],
-        &["--reps", "many"],
-        &["--filter"],
-        &["--trace"],
-    ] {
+    assert_eq!(help.status.code(), Some(0), "{bin} --help exits 0");
+    assert!(String::from_utf8_lossy(&help.stdout).starts_with(&usage));
+    for args in bad {
         let out = run(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2");
-        assert!(stderr.contains("usage: enginebench"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?} exits 2");
+        assert!(stderr.contains(&usage), "{bin} {args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{bin} {args:?} panicked: {stderr}"
+        );
     }
+}
+
+/// `campaign` follows the usage contract. None of these runs a case.
+#[test]
+fn campaign_rejects_bad_input_with_usage() {
+    assert_usage_contract(
+        env!("CARGO_BIN_EXE_campaign"),
+        "campaign",
+        &[
+            &["--bogus"],
+            &["--workload"],
+            &["--fuel"],
+            &["--fuel", "lots"],
+            &["--policy", "sometimes"],
+            &["--max-points", "x"],
+            &["--out"],
+            &["--quick", "--workload", "gpKVS", "--fuel", "3"],
+            &["--quick", "--fuel", "3", "--policy", "none"],
+        ],
+    );
+}
+
+/// `serve` follows the usage contract. None of these runs a sweep.
+#[test]
+fn serve_rejects_bad_input_with_usage() {
+    assert_usage_contract(
+        env!("CARGO_BIN_EXE_serve"),
+        "serve",
+        &[
+            &["--bogus"],
+            &["--seed"],
+            &["--seed", "x"],
+            &["--slo-us", "fast"],
+            &["--out"],
+            &["--persistency"],
+            &["--persistency", "bogus"],
+            &["--scenario"],
+        ],
+    );
+}
+
+/// `benchdiff` follows the usage contract. None of these reads a file.
+#[test]
+fn benchdiff_rejects_bad_input_with_usage() {
+    assert_usage_contract(
+        env!("CARGO_BIN_EXE_benchdiff"),
+        "benchdiff",
+        &[
+            &[],
+            &["only_one.json"],
+            &["a.json", "b.json", "--bogus"],
+            &["a.json", "b.json", "--tolerance"],
+            &["a.json", "b.json", "--tolerance", "2"],
+            &["a.json", "b.json", "--tolerance", "x"],
+        ],
+    );
 }

@@ -19,7 +19,7 @@ fn bulk_kernel(
     machine: &mut Machine,
     len: u64,
     persist: bool,
-    body: impl Fn(&mut ThreadCtx<'_>, u64, usize) -> SimResult<()> + Copy + Sync,
+    body: impl Fn(&mut ThreadCtx<'_>, u64, usize) -> SimResult<()> + Copy,
 ) -> SimResult<Ns> {
     if len == 0 {
         return Ok(Ns::ZERO);

@@ -8,8 +8,8 @@
 //! latency accounting against an SLO.
 //!
 //! Everything runs in simulated time and is seed-deterministic: the same
-//! seed and configuration produce bit-identical results, run to run and
-//! across engine-thread counts (the platform's golden-counter contract).
+//! seed and configuration produce bit-identical results, run to run (the
+//! platform's golden-counter contract).
 //!
 //! ## Pipeline
 //!

@@ -439,51 +439,6 @@ fn recovery_runs_before_admission_on_a_crashed_image() {
     }
 }
 
-/// The replicated cluster's failover is a simulated event, so the
-/// promotion instant, the measured gap, and every acked write must be
-/// identical whether the shards run the sequential or the block-parallel
-/// engine — the golden-counter contract extended to the failure path.
-#[test]
-fn failover_gap_is_identical_across_engine_threads() {
-    use gpm_serve::{run_replicated_cluster, KillPlan, ReplicationConfig};
-
-    let reqs = TrafficConfig {
-        n_requests: 3_000,
-        ..TrafficConfig::quick(17)
-    }
-    .generate();
-    let kill_at = reqs[reqs.len() / 2].arrival;
-    let run = |threads: u32| {
-        let mut cfg = ClusterConfig::quick();
-        cfg.policy.max_batch = 128;
-        cfg.kvs = cfg.kvs.with_engine_threads(threads);
-        let rep = ReplicationConfig {
-            kill: Some(KillPlan {
-                shard: 0,
-                at: kill_at,
-                fuel: 40,
-            }),
-            ..ReplicationConfig::default()
-        };
-        run_replicated_cluster(&cfg, &rep, &reqs).expect("replicated cluster run")
-    };
-    let seq = run(1);
-    let par = run(4);
-    assert!(
-        seq.oracle.passed(),
-        "no acked write may be lost: {:?}",
-        seq.oracle
-    );
-    assert_eq!(seq.failovers.len(), 1, "exactly one primary death injected");
-    assert_eq!(
-        seq.failovers, par.failovers,
-        "promotion sim-time and measured gap must not depend on engine threads"
-    );
-    assert_eq!(seq.acked_writes, par.acked_writes);
-    assert_eq!(seq.log_ship, par.log_ship);
-    assert_eq!(fingerprint(&seq.outcome), fingerprint(&par.outcome));
-}
-
 /// A replica silently dropping one shipped log batch is divergence the
 /// serve consistency oracle must catch — this is the in-process face of
 /// the serve binary's `--inject-bug` self-test.
